@@ -7,6 +7,9 @@ Four subcommands: ``gen``, ``verify``, ``root``, ``limit``.  Global flags
 subcommand.  Rational arguments accept decimal and p/q forms ("0.2",
 "3/10"); they are parsed exactly, never through binary floating point.
 
+``verify`` takes every per-identity fact from
+:data:`fiblike.identities.IDENTITIES`; an identity is one entry there.
+
 Exit codes are a stable scripting contract: 0 on success (and when every
 checked identity instance holds), 1 when a verification run finds a
 counterexample to the printed formula, 2 on usage or input errors.
@@ -34,7 +37,7 @@ from .charpoly import (
     wu_zhang_ordered,
 )
 from .convergence import ratio_limit, report_to_csv, report_to_dict
-from .rationals import format_rational, parse_rational_list
+from .rationals import as_rational, format_rational, parse_rational_list
 from .sequences import (
     PeriodicSpec,
     RecurrenceSpec,
@@ -47,18 +50,6 @@ from .sequences import (
 )
 
 __all__ = ["CliConfig", "build_parser", "main", "run"]
-
-IDENTITY_NAMES = (
-    "canonical",
-    "knacci-like",
-    "horadam-like",
-    "periodic2",
-    "periodic2-edson",
-    "swap",
-    "periodic3",
-    "periodic-k",
-)
-
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -147,132 +138,20 @@ def _cmd_gen(args: argparse.Namespace, config: CliConfig) -> int:
 # -------------------------------------------------------------- verify ----
 
 
-def _rand_inits(rng: random.Random, k: int) -> tuple[Fraction, ...]:
-    while True:
-        vals = tuple(Fraction(rng.randint(0, 9)) for _ in range(k))
-        if any(vals):
-            return vals
+# Parses each ``verify`` parameter flag into the value an identity case holds.
+_PARAM_PARSERS = {
+    "k": int,
+    **dict.fromkeys(("inits", "coeffs", "leading"), parse_rational_list),
+    **dict.fromkeys(("a", "b", "c"), as_rational),
+}
 
 
-def _rand_rational(rng: random.Random, nonzero: bool = False, signed: bool = True) -> Fraction:
-    lo = -3 if signed else 1
-    while True:
-        num = rng.randint(lo, 6)
-        if num or not nonzero:
-            return Fraction(num, rng.randint(1, 3))
-
-
-def _explicit_case(args: argparse.Namespace, identity: str) -> Optional[dict]:
-    have = lambda name: getattr(args, name) is not None  # noqa: E731
-    if identity == "canonical":
-        if not have("inits"):
-            return None
-        return {"inits": parse_rational_list(args.inits)}
-    if identity == "knacci-like":
-        if not (have("k") and have("inits")):
-            return None
-        return {"k": args.k, "inits": parse_rational_list(args.inits)}
-    if identity == "horadam-like":
-        if not (have("coeffs") and have("inits")):
-            return None
-        coeffs = parse_rational_list(args.coeffs)
-        return {"k": args.k or len(coeffs), "coeffs": coeffs, "inits": parse_rational_list(args.inits)}
-    if identity in ("periodic2", "periodic2-edson"):
-        if not (have("a") and have("b") and have("inits")):
-            return None
-        return {"a": Fraction(args.a), "b": Fraction(args.b), "inits": parse_rational_list(args.inits)}
-    if identity == "swap":
-        if not (have("a") and have("b")):
-            return None
-        return {"a": Fraction(args.a), "b": Fraction(args.b)}
-    if identity == "periodic3":
-        if not (have("a") and have("b") and have("c") and have("inits")):
-            return None
-        return {
-            "a": Fraction(args.a),
-            "b": Fraction(args.b),
-            "c": Fraction(args.c),
-            "inits": parse_rational_list(args.inits),
-        }
-    if identity == "periodic-k":
-        if not (have("leading") and have("inits")):
-            return None
-        return {"leading": parse_rational_list(args.leading), "inits": parse_rational_list(args.inits)}
-    raise ValueError(f"unknown identity {identity!r}")
-
-
-def _random_case(rng: random.Random, identity: str) -> dict:
-    if identity == "canonical":
-        return {"inits": _rand_inits(rng, 2)}
-    if identity == "knacci-like":
-        k = rng.randint(2, 6)
-        return {"k": k, "inits": _rand_inits(rng, k)}
-    if identity == "horadam-like":
-        k = rng.randint(2, 5)
-        coeffs = tuple(
-            Fraction(v) for v in sorted((rng.randint(1, 5) for _ in range(k)), reverse=True)
-        )
-        return {"k": k, "coeffs": coeffs, "inits": _rand_inits(rng, k)}
-    if identity in ("periodic2", "periodic2-edson"):
-        return {
-            "a": _rand_rational(rng, nonzero=True),
-            "b": _rand_rational(rng),
-            "inits": _rand_inits(rng, 2),
-        }
-    if identity == "swap":
-        return {"a": _rand_rational(rng, nonzero=True), "b": _rand_rational(rng)}
-    if identity == "periodic3":
-        return {
-            "a": _rand_rational(rng, signed=False),
-            "b": _rand_rational(rng, signed=False),
-            "c": _rand_rational(rng, signed=False),
-            "inits": _rand_inits(rng, 3),
-        }
-    if identity == "periodic-k":
-        k = rng.randint(3, 5)
-        return {
-            "leading": tuple(_rand_rational(rng, signed=False) for _ in range(k)),
-            "inits": _rand_inits(rng, k),
-        }
-    raise ValueError(f"unknown identity {identity!r}")
-
-
-def _case_min_index(identity: str, case: dict) -> int:
-    if identity in ("canonical", "periodic2", "periodic2-edson", "swap"):
-        return 1
-    if identity == "periodic3":
-        return 2
-    if identity == "knacci-like" or identity == "horadam-like":
-        return case["k"]
-    return len(case["leading"])  # periodic-k
-
-
-def _case_formulas(identity: str) -> tuple[str, ...]:
-    if identity == "periodic-k":
-        return identities.PERIODIC_K_VARIANTS
-    return ("printed",)
-
-
-def _case_witness(identity: str, case: dict, n: int, formula: str):
-    if identity == "canonical":
-        return identities.decompose_canonical(case["inits"], n)
-    if identity == "knacci-like":
-        spec = RecurrenceSpec(
-            k=case["k"], coeffs=(Fraction(1),) * case["k"], inits=case["inits"]
-        )
-        return identities.decompose_knacci_like(spec, n)
-    if identity == "horadam-like":
-        uspec = horadam_spec(case["k"], case["coeffs"])
-        return identities.decompose_horadam_like(uspec, case["inits"], n)
-    if identity == "periodic2":
-        return identities.decompose_periodic2(case["a"], case["b"], case["inits"], n)
-    if identity == "periodic2-edson":
-        return identities.decompose_periodic2_edson(case["a"], case["b"], case["inits"], n)
-    if identity == "swap":
-        return identities.periodic2_swap_relation(case["a"], case["b"], n)
-    if identity == "periodic3":
-        return identities.decompose_periodic3(case["a"], case["b"], case["c"], case["inits"], n)
-    return identities.decompose_periodic_k(case["leading"], case["inits"], n, variant=formula)
+def _case_from_flags(args: argparse.Namespace, entry: identities.IdentityEntry) -> Optional[dict]:
+    flags = {name: getattr(args, name) for name in entry.params}
+    if any(flags[name] is None for name in entry.params if name not in entry.defaults):
+        return None
+    given = {name: _PARAM_PARSERS[name](text) for name, text in flags.items() if text is not None}
+    return {name: given[name] if name in given else entry.defaults[name](**given) for name in entry.params}
 
 
 def _format_case(case: dict) -> str:
@@ -300,24 +179,25 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
     identity = args.identity
+    entry = identities.IDENTITIES[identity]
     rng = random.Random(config.seed)
     cases = []
-    explicit = _explicit_case(args, identity)
+    explicit = _case_from_flags(args, entry)
     if explicit is not None:
         cases.append(("flags", explicit))
     for _ in range(args.trials):
-        cases.append(("random", _random_case(rng, identity)))
+        cases.append(("random", entry.random_case(rng)))
     if not cases:
         raise ValueError(
             f"no cases to check: supply parameters for {identity!r} or use --trials N"
         )
 
     requested = _parse_range(args.n) if args.n else None
-    formulas = _case_formulas(identity)
+    formulas = entry.variants
     case_rows = []
     totals = {f: {"checks": 0, "failures": 0, "first_counterexample": None} for f in formulas}
     for index, (origin, case) in enumerate(cases, start=1):
-        minimum = _case_min_index(identity, case)
+        minimum = entry.min_index(**case)
         if requested is None:
             lo, hi = minimum, minimum + 48
         else:
@@ -329,7 +209,7 @@ def _cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
             first = None
             failing_n = []
             for n in range(lo, hi + 1):
-                witness = _case_witness(identity, case, n, formula)
+                witness = entry.witness(n, formula, **case)
                 checks += 1
                 if not witness.holds:
                     failures += 1
@@ -508,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common_flags(verify)
-    verify.add_argument("identity", choices=IDENTITY_NAMES)
+    verify.add_argument("identity", choices=tuple(identities.IDENTITIES))
     verify.add_argument("--k", type=int, help="order (knacci-like / horadam-like)")
     verify.add_argument("--coeffs", metavar="LIST", help="coefficients q1,..,qk (horadam-like)")
     verify.add_argument("--inits", metavar="LIST", help="initial terms")

@@ -34,6 +34,7 @@ from .charpoly import (
     DEFAULT_PRECISION,
     _GUARD,
     RootConvergenceError,
+    _to_mpf,
     all_roots,
     charpoly_of,
     dominant_root,
@@ -92,8 +93,10 @@ class AsymptoticFit:
     residual_trend: tuple[tuple[int, mpf], ...]
 
 
-def _frac_to_mpf(value: Fraction) -> mpf:
-    return mpf(value.numerator) / mpf(value.denominator)
+def _periodic2_alpha(a: Fraction, b: Fraction) -> mpf:
+    """alpha = (ab + sqrt(a^2b^2 + 4ab))/2 at the current working precision."""
+    ab = _to_mpf(a * b)
+    return (ab + mp.sqrt(ab * ab + 4 * ab)) / 2
 
 
 def _parity_ok(n: int, subsequence: str) -> bool:
@@ -133,7 +136,7 @@ def ratio_limit(
     if not indices:
         raise ValueError("no valid ratio samples: subsequence is empty over the index range")
     with mp.workdps(precision):
-        samples = tuple((n, _frac_to_mpf(seq[n] / seq[n - step])) for n in indices)
+        samples = tuple((n, _to_mpf(seq[n] / seq[n - step])) for n in indices)
         estimate = samples[-1][1]
         reference = ratio_limit_reference(spec, step=step, subsequence=subsequence, precision=precision)
         gap = abs(estimate - reference) if reference is not None else None
@@ -173,14 +176,13 @@ def ratio_limit_reference(
         if a * b <= 0:
             return None
         with mp.workdps(precision + _GUARD):
-            ab = _frac_to_mpf(a * b)
-            alpha = (ab + mp.sqrt(ab * ab + 4 * ab)) / 2
+            alpha = _periodic2_alpha(a, b)
             if step == 1:
                 if subsequence == "even":
-                    return alpha / _frac_to_mpf(b)
+                    return alpha / _to_mpf(b)
                 if subsequence == "odd":
-                    return alpha / _frac_to_mpf(a)
-                return alpha / _frac_to_mpf(a) if a == b else None
+                    return alpha / _to_mpf(a)
+                return alpha / _to_mpf(a) if a == b else None
             if step == 2:
                 return alpha + 1
             return None
@@ -217,9 +219,8 @@ def adjudicate_parity_assignment(
     even = ratio_limit(spec, step=1, subsequence="even", n_max=n_max, precision=precision).estimate
     odd = ratio_limit(spec, step=1, subsequence="odd", n_max=n_max, precision=precision).estimate
     with mp.workdps(precision + _GUARD):
-        ab = _frac_to_mpf(a * b)
-        alpha = (ab + mp.sqrt(ab * ab + 4 * ab)) / 2
-        candidates = {"alpha/a": alpha / _frac_to_mpf(a), "alpha/b": alpha / _frac_to_mpf(b)}
+        alpha = _periodic2_alpha(a, b)
+        candidates = {"alpha/a": alpha / _to_mpf(a), "alpha/b": alpha / _to_mpf(b)}
         tol = mpf(10) ** (-4)
 
         def matches(assignment: dict) -> bool:
@@ -268,7 +269,7 @@ def asymptotic_fit(
     seq = terms(spec, n_max + 1)
     alpha = dominant_root(poly, dps)
     with mp.workdps(dps):
-        c = _frac_to_mpf(seq[n_max]) / alpha**n_max
+        c = _to_mpf(seq[n_max]) / alpha**n_max
         if c <= 0:
             raise ArithmeticError(
                 "non-positive leading coefficient: growth along the dominant root is not positive"
@@ -283,7 +284,7 @@ def asymptotic_fit(
         bounds.reverse()
         trend = []
         for lo, hi in bounds:
-            worst = max(abs(_frac_to_mpf(seq[n]) / alpha**n - c) for n in range(lo, hi + 1))
+            worst = max(abs(_to_mpf(seq[n]) / alpha**n - c) for n in range(lo, hi + 1))
             trend.append((hi, worst))
     return AsymptoticFit(c=c, residual_trend=tuple(trend))
 

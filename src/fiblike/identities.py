@@ -18,14 +18,16 @@ machinery; there is no second evaluation code path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .rationals import RationalLike, as_rational, as_rationals, format_rational
 from .sequences import (
     RecurrenceSpec,
     evaluate,
+    horadam_spec,
     knacci_spec,
     periodic_basis,
     periodic_spec,
@@ -44,6 +46,8 @@ __all__ = [
     "decompose_periodic3",
     "decompose_periodic_k",
     "PERIODIC_K_VARIANTS",
+    "IdentityEntry",
+    "IDENTITIES",
     "witness_to_dict",
     "dump_witness",
 ]
@@ -89,6 +93,13 @@ def _witness(identity: str, n: int, lhs: Fraction, terms: Sequence[WitnessTerm])
     return DecompositionWitness(identity=identity, n=n, lhs=lhs, rhs=rhs, terms=tuple(terms))
 
 
+def _initial_terms(inits: Sequence[RationalLike], k: int) -> tuple[Fraction, ...]:
+    values = as_rationals(inits)
+    if len(values) != k:
+        raise ValueError(f"need exactly {k} initial terms, got {len(values)}")
+    return values
+
+
 def decompose_canonical(inits: Sequence[RationalLike], n: int) -> DecompositionWitness:
     """Order-2 canonical-basis split: S(n) = S1*F(n) + S0*F(n-1).
 
@@ -96,7 +107,7 @@ def decompose_canonical(inits: Sequence[RationalLike], n: int) -> DecompositionW
     sequences obeying S(n) = S(n-1) + S(n-2), so any such sequence is the
     initial-value-weighted combination above.
     """
-    s0, s1 = as_rationals(inits)
+    s0, s1 = _initial_terms(inits, 2)
     if n < 1:
         raise ValueError(f"canonical decomposition needs n >= 1, got {n}")
     fib = knacci_spec(2)
@@ -160,9 +171,7 @@ def decompose_horadam_like(
     basis_inits = (Fraction(0),) * (k - 1) + (Fraction(1),)
     if uspec.inits != basis_inits:
         raise ValueError("uspec must be a basis spec with inits (0, ..., 0, 1)")
-    vin = as_rationals(vinits)
-    if len(vin) != k:
-        raise ValueError(f"need exactly {k} initial terms, got {len(vin)}")
+    vin = _initial_terms(vinits, k)
     if not any(vin):
         raise ValueError("at least one initial term must be nonzero")
     if n < k:
@@ -194,7 +203,7 @@ def decompose_periodic2(
     """
     a = as_rational(a)
     b = as_rational(b)
-    g0, g1 = as_rationals(inits)
+    g0, g1 = _initial_terms(inits, 2)
     if n < 1:
         raise ValueError(f"decomposition needs n >= 1, got {n}")
     lhs = evaluate(periodic_spec((a, b), (g0, g1)), n)
@@ -236,7 +245,7 @@ def decompose_periodic2_edson(
     b = as_rational(b)
     if a == 0:
         raise ValueError("decomposition needs a != 0")
-    g0, g1 = as_rationals(inits)
+    g0, g1 = _initial_terms(inits, 2)
     if n < 1:
         raise ValueError(f"decomposition needs n >= 1, got {n}")
     basis = periodic_basis((a, b))
@@ -273,9 +282,7 @@ def decompose_periodic3(
     which is why the witness reports ``holds`` instead of asserting.
     """
     lead = (as_rational(a), as_rational(b), as_rational(c))
-    u = as_rationals(uinits)
-    if len(u) != 3:
-        raise ValueError(f"need exactly 3 initial terms, got {len(u)}")
+    u = _initial_terms(uinits, 3)
     if n < 2:
         raise ValueError(f"decomposition needs n >= 2, got {n}")
     lhs = evaluate(periodic_spec(lead, u), n)
@@ -317,12 +324,10 @@ def decompose_periodic_k(
     verdict either way rather than asserting.
     """
     lead = as_rationals(leading)
-    g = as_rationals(ginits)
     k = len(lead)
     if k < 3:
         raise ValueError("k-periodic decomposition needs k >= 3; use decompose_periodic2 for k = 2")
-    if len(g) != k:
-        raise ValueError(f"need exactly {k} initial terms, got {len(g)}")
+    g = _initial_terms(ginits, k)
     if n < k:
         raise ValueError(f"decomposition needs n >= k = {k}, got {n}")
     if variant not in PERIODIC_K_VARIANTS:
@@ -341,6 +346,115 @@ def decompose_periodic_k(
         terms.append(WitnessTerm("+".join(labels), g[m + 1], block))
     terms.append(WitnessTerm(f"B0({n})", g[k - 1], evaluate(bases[0], n)))
     return _witness(f"periodic-k[{variant}]", n, lhs, terms)
+
+
+@dataclass(frozen=True)
+class IdentityEntry:
+    """Everything ``fiblike verify`` knows about one :data:`IDENTITIES` entry.
+
+    A case is a dict keyed by ``params``, in the order ``verify`` prints them;
+    ``defaults`` fill optional ones.  ``min_index``, ``witness`` and the
+    defaults take the case as keyword arguments.  Witness calls look
+    ``decompose_*`` up by module-global name, so a patched attribute applies.
+    """
+
+    params: tuple[str, ...]
+    random_case: Callable[[random.Random], dict]
+    witness: Callable[..., DecompositionWitness]
+    min_index: Callable[..., int] = lambda **case: 1
+    variants: tuple[str, ...] = ("printed",)
+    defaults: Mapping[str, Callable[..., object]] = field(default_factory=dict)
+
+
+def _rand_inits(rng: random.Random, k: int) -> tuple[Fraction, ...]:
+    while True:
+        vals = tuple(Fraction(rng.randint(0, 9)) for _ in range(k))
+        if any(vals):
+            return vals
+
+
+def _rand_rational(rng: random.Random, nonzero: bool = False, signed: bool = True) -> Fraction:
+    lo = -3 if signed else 1
+    while True:
+        num = rng.randint(lo, 6)
+        if num or not nonzero:
+            return Fraction(num, rng.randint(1, 3))
+
+
+def _random_knacci_like(rng: random.Random) -> dict:
+    k = rng.randint(2, 6)
+    return {"k": k, "inits": _rand_inits(rng, k)}
+
+
+def _random_horadam_like(rng: random.Random) -> dict:
+    k = rng.randint(2, 5)
+    coeffs = tuple(Fraction(v) for v in sorted((rng.randint(1, 5) for _ in range(k)), reverse=True))
+    return {"k": k, "coeffs": coeffs, "inits": _rand_inits(rng, k)}
+
+
+def _random_periodic2(rng: random.Random) -> dict:
+    return {"a": _rand_rational(rng, nonzero=True), "b": _rand_rational(rng), "inits": _rand_inits(rng, 2)}
+
+
+def _random_periodic3(rng: random.Random) -> dict:
+    lead = {name: _rand_rational(rng, signed=False) for name in ("a", "b", "c")}
+    return {**lead, "inits": _rand_inits(rng, 3)}
+
+
+def _random_periodic_k(rng: random.Random) -> dict:
+    k = rng.randint(3, 5)
+    leading = tuple(_rand_rational(rng, signed=False) for _ in range(k))
+    return {"leading": leading, "inits": _rand_inits(rng, k)}
+
+
+IDENTITIES: dict[str, IdentityEntry] = {
+    "canonical": IdentityEntry(
+        params=("inits",),
+        random_case=lambda rng: {"inits": _rand_inits(rng, 2)},
+        witness=lambda n, variant, inits: decompose_canonical(inits, n),
+    ),
+    "knacci-like": IdentityEntry(
+        params=("k", "inits"),
+        random_case=_random_knacci_like,
+        min_index=lambda k, inits: k,
+        witness=lambda n, variant, k, inits: decompose_knacci_like(RecurrenceSpec(k, (1,) * k, inits), n),
+    ),
+    "horadam-like": IdentityEntry(
+        params=("k", "coeffs", "inits"),
+        defaults={"k": lambda coeffs, inits: len(coeffs)},
+        random_case=_random_horadam_like,
+        min_index=lambda k, coeffs, inits: k,
+        witness=lambda n, variant, k, coeffs, inits: decompose_horadam_like(horadam_spec(k, coeffs), inits, n),
+    ),
+    "periodic2": IdentityEntry(
+        params=("a", "b", "inits"),
+        random_case=_random_periodic2,
+        witness=lambda n, variant, a, b, inits: decompose_periodic2(a, b, inits, n),
+    ),
+    "periodic2-edson": IdentityEntry(
+        params=("a", "b", "inits"),
+        random_case=_random_periodic2,
+        witness=lambda n, variant, a, b, inits: decompose_periodic2_edson(a, b, inits, n),
+    ),
+    "swap": IdentityEntry(
+        params=("a", "b"),
+        random_case=lambda rng: {"a": _rand_rational(rng, nonzero=True), "b": _rand_rational(rng)},
+        witness=lambda n, variant, a, b: periodic2_swap_relation(a, b, n),
+    ),
+    "periodic3": IdentityEntry(
+        params=("a", "b", "c", "inits"),
+        random_case=_random_periodic3,
+        min_index=lambda a, b, c, inits: 2,
+        witness=lambda n, variant, a, b, c, inits: decompose_periodic3(a, b, c, inits, n),
+    ),
+    "periodic-k": IdentityEntry(
+        params=("leading", "inits"),
+        random_case=_random_periodic_k,
+        min_index=lambda leading, inits: len(leading),
+        witness=lambda n, variant, leading, inits: decompose_periodic_k(leading, inits, n, variant=variant),
+        variants=PERIODIC_K_VARIANTS,
+    ),
+}
 
 
 def witness_to_dict(witness: DecompositionWitness) -> dict:

@@ -20,14 +20,18 @@ def as_rational(value: RationalLike) -> Fraction:
 
     Accepts ints, Fractions, Decimals, and strings in either ``p/q`` or
     decimal form ("0.2" becomes 1/5 exactly).  Floats are rejected: pass
-    the string "0.2" or ``Fraction(1, 5)`` instead.
+    the string "0.2" or ``Fraction(1, 5)`` instead.  A zero denominator
+    ("1/0") is a ``ValueError``, like any other malformed input.
     """
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: binary floats are inexact; "
             f"pass a string like '{value}' or a Fraction"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:

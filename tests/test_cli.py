@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from fiblike import identities
-from fiblike.cli import main
+from fiblike.cli import build_parser, main
 from fiblike.sequences import dump_spec, evaluate_fast, knacci_spec
 
 
@@ -127,6 +128,99 @@ def test_verify_exit_code_one_on_counterexample(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "canonical", "--inits", "2,1", "--n", "1..5")
     assert code == 1
     assert "REFUTED" in out and "first counterexample" in out
+
+
+# Per identity: explicit flags, the params line they print, and the two cases
+# that --trials 2 --seed 5 draws (pinned so the random draws stay the same).
+REGISTRY_CASES = {
+    "canonical": (["--inits", "2,1"], "inits=2,1", ["inits=9,4", "inits=5,8"]),
+    "knacci-like": (
+        ["--k", "3", "--inits", "1,2,3"],
+        "k=3 inits=1,2,3",
+        ["k=6 inits=4,5,8,0,7,3", "k=2 inits=2,1"],
+    ),
+    "horadam-like": (
+        ["--coeffs", "2,1", "--inits", "0,1"],
+        "k=2 coeffs=2,1 inits=0,1",
+        ["k=4 coeffs=5,4,3,1 inits=3,0,2,1", "k=4 coeffs=5,4,4,2 inits=1,9,3,0"],
+    ),
+    "periodic2": (
+        ["--a", "0.2", "--b=-1/3", "--inits", "2,3"],
+        "a=1/5 b=-1/3 inits=2,3",
+        ["a=3 b=2/3 inits=8,0", "a=4 b=-3 inits=1,5"],
+    ),
+    "periodic2-edson": (
+        ["--a", "2", "--b", "3", "--inits", "1,2"],
+        "a=2 b=3 inits=1,2",
+        ["a=3 b=2/3 inits=8,0", "a=4 b=-3 inits=1,5"],
+    ),
+    "swap": (["--a", "1/3", "--b", "-2"], "a=1/3 b=-2", ["a=3 b=2/3", "a=5 b=4"]),
+    "periodic3": (
+        ["--a", "1", "--b", "2", "--c", "3", "--inits", "1,0,0"],
+        "a=1 b=2 c=3 inits=1,0,0",
+        ["a=5/2 b=3 c=2 inits=8,0,7", "a=2/3 b=1 c=1/2 inits=7,3,6"],
+    ),
+    "periodic-k": (
+        ["--leading", "1,2,3,4", "--inits", "0,1,0,0"],
+        "leading=1,2,3,4 inits=0,1,0,0",
+        ["leading=1,1,2,5,4 inits=0,2,1,5,7", "leading=4/3,1/3,2 inits=3,6,4"],
+    ),
+}
+
+
+def test_verify_choices_are_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in commands.choices["verify"]._actions if a.dest == "identity")
+    assert list(identity.choices) == list(identities.IDENTITIES) == list(REGISTRY_CASES)
+
+
+@pytest.mark.parametrize("identity", list(identities.IDENTITIES))
+def test_verify_every_registry_entry(capsys, identity):
+    flags, explicit, drawn = REGISTRY_CASES[identity]
+    code, out, _ = run_cli(
+        capsys, "verify", identity, *flags, "--trials", "2", "--seed", "5", "--output", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [(c["origin"], c["params"]) for c in payload["cases"]] == [
+        ("flags", explicit), ("random", drawn[0]), ("random", drawn[1])
+    ]
+    assert payload["cases"][0]["results"]["printed"]["failures"] == 0
+    expected = dict.fromkeys(identities.IDENTITIES[identity].variants, "holds")
+    if identity == "periodic-k":
+        expected["shift-from-zero"] = "refuted"
+    assert payload["verdicts"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--coeffs", "1/0,1", "--to", "3"],
+        ["gen", "--spec", "{spec}", "--to", "3"],
+        ["verify", "swap", "--a", "1/0", "--b", "1"],
+        ["verify", "canonical", "--inits", "1,1/0"],
+    ],
+)
+def test_zero_denominator_is_an_input_error(capsys, tmp_path, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "constant", "k": 2, "coeffs": ["1", "1/0"], "inits": ["0", "1"]}')
+    code, _, err = run_cli(capsys, *(arg.format(spec=spec) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_verify_wrong_init_count_is_reported(capsys):
+    code, _, err = run_cli(capsys, "verify", "canonical", "--inits", "1,2,3")
+    assert code == 2
+    assert err == "error: need exactly 2 initial terms, got 3\n"
+
+
+def test_verify_horadam_like_rejects_order_zero(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "horadam-like", "--k", "0", "--coeffs", "1,1", "--inits", "0,1"
+    )
+    assert code == 2 and "order k" in err
 
 
 def test_verify_requires_parameters_or_trials(capsys):

@@ -300,6 +300,17 @@ def test_periodic_k_shift_from_zero_is_refuted():
     assert decompose_periodic_k((1, 2, 3, 4), (0, 1, 0, 0), 8, variant="printed").holds
 
 
+@pytest.mark.parametrize(
+    "decompose, leading_args",
+    [(decompose_canonical, ()), (decompose_periodic2, (2, 3)), (decompose_periodic2_edson, (2, 3))],
+    ids=["canonical", "periodic2", "periodic2-edson"],
+)
+@pytest.mark.parametrize("inits", [(1,), (1, 2, 3)], ids=["one-init", "three-inits"])
+def test_order_two_identities_reject_wrong_init_count(decompose, leading_args, inits):
+    with pytest.raises(ValueError, match=f"need exactly 2 initial terms, got {len(inits)}"):
+        decompose(*leading_args, inits, 3)
+
+
 def test_periodic_k_input_checks():
     with pytest.raises(ValueError):
         decompose_periodic_k((1, 2), (0, 1), 4)  # k < 3

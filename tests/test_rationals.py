@@ -21,6 +21,13 @@ def test_floats_are_rejected():
         as_rational(0.2)
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_rational("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational_list("1,2/0")
+
+
 def test_format_rational():
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(13, 5)) == "13/5"
