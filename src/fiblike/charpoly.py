@@ -10,9 +10,13 @@ ordering") f has exactly one positive real zero, bracketed in
 (q1, q1 + 1), and the other k-1 zeros lie inside the unit circle.  The
 positive zero governs growth and every successive-term ratio limit.
 
-Root finding is done two ways on purpose: the dominant zero by exact-sign
-bisection plus Newton polish (correctness over speed), and the full
-spectrum by Durand-Kerner simultaneous iteration.  On top of the roots sit
+"Dominant" means the largest positive real zero.  It is found in three
+certified steps: an exact bracket with f(lo) < 0 < f(hi) (the Wu-Zhang
+interval when the ordering holds, otherwise the top-most sign change of a
+sign scan run on integers from the Cauchy bound downward), safeguarded
+Newton inside that bracket, and a residual check |f(x)| < 10^-precision.
+The full spectrum comes from Durand-Kerner simultaneous iteration, with the
+dominant zero taken from the certified search.  On top of the roots sit
 the closed forms for the unit-coefficient family: the full-spectrum sum
 with weights A(i) = (r_i - 1)/(2 + (k+1)(r_i - 2)), its nearest-integer
 one-root shortcut, and the order-2 Binet formula.
@@ -20,6 +24,7 @@ one-root shortcut, and the order-2 Binet formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -74,16 +79,10 @@ class CharPoly:
 
     def eval_mp(self, x):
         """Horner evaluation for mpf/mpc at the active precision."""
-        acc = mpf(1)
-        for q in self.coeffs:
-            acc = acc * x - _to_mpf(q)
-        return acc
+        return _horner(_mp_coeffs(self), x)
 
     def deriv_mp(self, x):
-        acc = mpf(self.k)
-        for i, q in enumerate(self.coeffs[:-1]):
-            acc = acc * x - (self.k - 1 - i) * _to_mpf(q)
-        return acc
+        return _horner_slope(_mp_coeffs(self), x)[1]
 
     def __str__(self) -> str:
         parts = [f"x^{self.k}"]
@@ -107,9 +106,9 @@ class CharPoly:
 class RootSet:
     """Full spectrum of a characteristic polynomial.
 
-    ``dominant`` is the certified positive real zero; ``others`` are the
-    remaining k-1 zeros, sorted by (re, im).  ``inside_unit_circle`` flags
-    whether every non-dominant modulus stays below 1 - 1e-9.
+    ``dominant`` is the certified largest positive real zero; ``others``
+    are the remaining k-1 zeros, sorted by (re, im).  ``inside_unit_circle``
+    flags whether every non-dominant modulus stays below 1 - 1e-9.
     """
 
     dominant: mpf
@@ -121,6 +120,28 @@ class RootSet:
 
 def _to_mpf(value: Fraction) -> mpf:
     return mpf(value.numerator) / mpf(value.denominator)
+
+
+def _mp_coeffs(poly: CharPoly) -> tuple[mpf, ...]:
+    """The q's as mpf at the active precision; convert once per search."""
+    return tuple(_to_mpf(q) for q in poly.coeffs)
+
+
+def _horner(qs: Sequence[mpf], x):
+    """f(x) for the monic polynomial with mpf coefficients ``qs``."""
+    value = mpf(1)
+    for q in qs:
+        value = value * x - q
+    return value
+
+
+def _horner_slope(qs: Sequence[mpf], x) -> tuple:
+    """(f(x), f'(x)) in one Horner pass."""
+    value, slope = mpf(1), mpf(0)
+    for q in qs:
+        slope = slope * x + value
+        value = value * x - q
+    return value, slope
 
 
 def charpoly_of(spec: RecurrenceSpec) -> CharPoly:
@@ -143,61 +164,84 @@ def wu_zhang_ordered(poly: CharPoly) -> bool:
 
 
 def _exact_bracket(poly: CharPoly) -> tuple[Fraction, Fraction]:
-    """Bracket (lo, hi) with f(lo) < 0 < f(hi), verified in exact arithmetic."""
+    """Bracket (lo, hi) with f(lo) < 0 < f(hi) around the largest positive zero.
+
+    Under the Wu-Zhang ordering this is (q1, q1 + 1), checked in Fraction
+    arithmetic.  Otherwise a grid x_j = bound*j/1024 over (0, bound] with
+    bound = 1 + sum|q_i| is scanned from the top down for the first sign
+    change.  The scan runs on the integers L*s^k*f(x_j), where s = 1024 *
+    den(bound) and L = lcm of the q denominators, which have the signs of
+    f(x_j).  f > 0 for x >= 1 + max(q_i, 0) (Cauchy's bound for positive
+    zeros), so grid points above that are skipped.  A zero lying exactly
+    on the grid comes back as (x, x).
+    """
     if wu_zhang_ordered(poly):
         lo, hi = poly.coeffs[0], poly.coeffs[0] + 1
         if poly.eval_exact(lo) < 0 < poly.eval_exact(hi):
             return lo, hi
-    # Sign-change scan over (0, 1 + sum |q_i|].
     bound = Fraction(1) + sum(abs(q) for q in poly.coeffs)
     steps = 1024
-    prev_x = Fraction(0)
-    prev_val = poly.eval_exact(prev_x)
-    for j in range(1, steps + 1):
-        x = bound * j / steps
-        val = poly.eval_exact(x)
-        if val == 0:
+    scale = math.lcm(*(q.denominator for q in poly.coeffs))
+    grid = steps * bound.denominator
+    scaled = [int(q * scale) * grid**i for i, q in enumerate(poly.coeffs, start=1)]
+    top = 1 + max(max(poly.coeffs), 0)
+    for j in reversed(range(math.ceil(top * steps / bound))):
+        y = bound.numerator * j
+        value = scale
+        for c in scaled:
+            value = value * y - c
+        if value < 0:
+            return bound * j / steps, bound * (j + 1) / steps
+        if value == 0 and j > 0:
+            x = bound * j / steps
             return x, x
-        if prev_val < 0 < val:
-            return prev_x, x
-        prev_x, prev_val = x, val
     raise RootConvergenceError(
         "no positive sign change found; the polynomial has no bracketable positive real zero"
     )
 
 
 def dominant_root(poly: CharPoly, precision: int = DEFAULT_PRECISION) -> mpf:
-    """The unique positive real zero, certified to ``precision`` digits.
+    """The largest positive real zero, certified to ``precision`` digits.
 
-    Exact-sign bisection on a verified bracket, then Newton polish with the
-    bracket as a safeguard.  Under the dominance ordering the returned value
-    lies strictly inside (q1, q1 + 1).
+    Starts from the exact bracket of :func:`_exact_bracket` and runs Newton
+    steps with the coefficients converted to mpf once; a step that would
+    leave the current bracket is replaced by bisection, and every evaluation
+    shrinks the bracket.  The search stops once a Newton step falls below
+    10^-(precision+10) and raises :class:`RootConvergenceError` if its
+    iteration cap is reached first or if the final residual |f(x)| is not
+    below 10^-precision.  The result lies inside the bracket: strictly
+    inside (q1, q1 + 1) under the dominance ordering.  Two zeros closer
+    together than the scan grid's step can hide each other from the scan.
     """
     lo_f, hi_f = _exact_bracket(poly)
     with mp.workdps(precision + _GUARD):
         if lo_f == hi_f:  # exact rational root found during the scan
             return _to_mpf(lo_f)
+        qs = _mp_coeffs(poly)
         lo, hi = _to_mpf(lo_f), _to_mpf(hi_f)
         eps = mpf(10) ** (-(precision + 10))
-        for _ in range(int(3.4 * (precision + 12)) + 16):
-            mid = (lo + hi) / 2
-            if poly.eval_mp(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < eps:
-                break
         x = (lo + hi) / 2
-        for _ in range(4):
-            d = poly.deriv_mp(x)
-            if d == 0:
+        for _ in range(int(3.4 * (precision + 12)) + 16):
+            value, slope = _horner_slope(qs, x)
+            if value == 0:
                 break
-            step = poly.eval_mp(x) / d
-            candidate = x - step
-            if candidate <= lo or candidate >= hi:
+            if value < 0:
+                lo = x
+            else:
+                hi = x
+            step = value / slope if slope else hi - lo  # a flat spot bisects
+            inside = lo < x - step < hi
+            if inside:
+                x -= step
+            # convergence is tested before the bracket, which may have
+            # collapsed onto x so that even a converged step leaves it
+            if abs(step) < eps:
                 break
-            x = candidate
-        if abs(poly.eval_mp(x)) >= mpf(10) ** (-precision):
+            if not inside:
+                x = (lo + hi) / 2
+        else:
+            raise RootConvergenceError("Newton-bisection search hit its iteration cap")
+        if abs(_horner(qs, x)) >= mpf(10) ** (-precision):
             raise RootConvergenceError("residual did not reach the requested precision")
         return x
 
@@ -228,7 +272,8 @@ def all_roots(poly: CharPoly, precision: int = DEFAULT_PRECISION) -> RootSet:
     k = poly.k
     dominant = dominant_root(poly, precision)
     with mp.workdps(precision + _GUARD):
-        radius = mpf(1) + max(_to_mpf(abs(q)) for q in poly.coeffs)
+        qs = _mp_coeffs(poly)
+        radius = mpf(1) + max(abs(q) for q in qs)
         zs = [radius * mp.exp(mpc(0, 2 * mp.pi * j / k + mpf(2) / 5)) for j in range(k)]
         tol = mpf(10) ** (-precision)
         for _ in range(100_000):
@@ -240,7 +285,7 @@ def all_roots(poly: CharPoly, precision: int = DEFAULT_PRECISION) -> RootSet:
                         den *= zs[j] - zs[l]
                 if den == 0:
                     raise RootConvergenceError("simultaneous iterates collided")
-                step = poly.eval_mp(zs[j]) / den
+                step = _horner(qs, zs[j]) / den
                 zs[j] -= step
                 worst = max(worst, abs(step))
             if worst < tol:
@@ -251,7 +296,7 @@ def all_roots(poly: CharPoly, precision: int = DEFAULT_PRECISION) -> RootSet:
         others = [zs[j] for j in range(k) if j != nearest]
         others.sort(key=lambda z: (mp.re(z), mp.im(z)))
         moduli_bound = max(abs(z) for z in others)
-        residual = abs(poly.eval_mp(dominant))
+        residual = abs(_horner(qs, dominant))
         inside = bool(moduli_bound < 1 - mpf(10) ** (-9))
     return RootSet(
         dominant=dominant,
@@ -328,11 +373,16 @@ def dresden_round(k: int, n: int, precision: int = DEFAULT_PRECISION) -> int:
     the remaining zeros contribute less than 1/2 in absolute value.  Rounding
     is half-away-from-zero; true terms never land on a half, so the tie rule
     is unobservable but fixed for determinism.
+
+    The working precision is raised to cover every integer digit of the
+    term: at least (n-k+1)*log10(2) + 10 digits, since alpha < 2.  A
+    ``precision`` that already covers them is used as given.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"order k must be an integer >= 2, got {k!r}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
+    precision = max(precision, math.ceil((n - k + 1) * math.log10(2)) + 10)
     alpha = dominant_root(charpoly_of(knacci_spec(k)), precision)
     with mp.workdps(precision + _GUARD):
         value = dresden_coefficient(alpha, k) * alpha ** (n - k + 1)

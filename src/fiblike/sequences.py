@@ -168,6 +168,17 @@ def periodic_basis(leading: Iterable[RationalLike]) -> PeriodicSpec:
     return PeriodicSpec(p=k, leading=lead, k=k, inits=inits)
 
 
+def _extend(spec: SequenceSpec, prefix: list[Fraction], count: int) -> list[Fraction]:
+    """Append terms to ``prefix`` in place until it holds ``count``; return it.
+
+    Callers that need a prefix only once pass a fresh list, so nothing
+    enters the shared cache.
+    """
+    while len(prefix) < count:
+        prefix.append(spec._next_term(prefix))
+    return prefix
+
+
 class _PrefixCache:
     """Per-spec term-prefix memo.
 
@@ -190,9 +201,7 @@ class _PrefixCache:
                 self._prefixes.popitem(last=False)
         else:
             self._prefixes.move_to_end(spec)
-        while len(prefix) < count:
-            prefix.append(spec._next_term(prefix))
-        return prefix
+        return _extend(spec, prefix, count)
 
     def term(self, spec: SequenceSpec, n: int) -> Fraction:
         with self._lock:

@@ -86,6 +86,58 @@ def test_dominant_root_no_positive_zero():
         dominant_root(CharPoly(k=2, coeffs=(-3, -5)), 30)  # x^2+3x+5: no real zero
 
 
+# (x - 1)(x - 3)(x - 4)(x + 2) = x^4 - 6x^3 + 3x^2 + 26x - 24
+THREE_POSITIVE_ROOTS = CharPoly(k=4, coeffs=(6, -3, -26, 24))
+
+
+def test_dominant_root_is_the_largest_positive_root():
+    assert abs(dominant_root(THREE_POSITIVE_ROOTS, 50) - 4) < mpf(10) ** (-48)
+    assert abs(dominant_root(CharPoly(k=3, coeffs=(6, -11, 6)), 50) - 3) < mpf(10) ** (-48)
+
+
+def test_all_roots_reports_the_largest_positive_root():
+    roots = all_roots(THREE_POSITIVE_ROOTS, 50)
+    assert abs(roots.dominant - 4) < mpf(10) ** (-48)
+    assert [round(float(z.real), 12) for z in roots.others] == [-2, 1, 3]
+    assert all(abs(z.imag) < 1e-40 for z in roots.others)
+
+
+def _poly_value(coeffs, x: Fraction) -> Fraction:
+    value = Fraction(1)
+    for q in coeffs:
+        value = value * x - q
+    return value
+
+
+def _random_certifiable_poly(rng, ordered: bool) -> tuple[Fraction, ...]:
+    k = rng.randint(2, 8)
+    if ordered:
+        return tuple(sorted((Fraction(rng.randint(2, 18), 2) for _ in range(k)), reverse=True))
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)]
+    coeffs[-1] = abs(coeffs[-1]) or Fraction(1)  # f(0) < 0, so a positive zero exists
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("precision", [50, 200])
+@pytest.mark.parametrize("ordered", [True, False])
+def test_dominant_root_certified_in_exact_arithmetic(precision, ordered):
+    """Each reported root has an exact sign change around it and no sign
+    change above it on the 1024-step grid over (0, 1 + sum|q|]."""
+    rng = random.Random(64 + precision + ordered)
+    for _ in range(10):
+        coeffs = _random_certifiable_poly(rng, ordered)
+        poly = CharPoly(k=len(coeffs), coeffs=coeffs)
+        assert wu_zhang_ordered(poly) or not ordered
+        root = dominant_root(poly, precision)
+        with mp.workdps(precision + 20):
+            x = Fraction(mp.nstr(root, precision + 15))
+        delta = Fraction(1, 10 ** (precision - 3))
+        assert _poly_value(coeffs, x - delta) < 0 < _poly_value(coeffs, x + delta), coeffs
+        bound = 1 + sum(abs(q) for q in coeffs)
+        grid = (bound * j / 1024 for j in range(1025))
+        assert all(_poly_value(coeffs, g) > 0 for g in grid if g > x + delta), coeffs
+
+
 def test_random_wu_zhang_brackets():
     rng = random.Random(61)
     for _ in range(20):
@@ -238,6 +290,12 @@ def test_dresden_round_matches_exact_terms():
         row = terms(knacci_spec(k), 61)
         for n in range(0, 61, 5):
             assert dresden_round(k, n) == int(row[n])
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("n", [320, 381, 1000])
+def test_dresden_round_deep_indices_raise_precision(k, n):
+    assert dresden_round(k, n) == evaluate(knacci_spec(k), n)
 
 
 def test_horadam_binet_values():

@@ -258,6 +258,23 @@ def test_root_knacci3(capsys):
     assert payload["inside_unit_circle"] is True
 
 
+def test_root_reports_the_largest_positive_root(capsys):
+    code, out, _ = run_cli(capsys, "root", "--coeffs", "6,-11,6")
+    assert code == 0
+    assert "dominant: 3.0\n" in out
+
+
+def test_limit_reference_is_the_largest_positive_root(capsys):
+    code, out, _ = run_cli(
+        capsys, "limit", "--coeffs", "6,-11,6", "--inits", "1,5,2", "--output", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["reference"] == "3.0"
+    assert abs(float(payload["estimate"]) - 3) < 1e-12
+    assert float(payload["gap"]) < 1e-12
+
+
 def test_root_rejects_periodic(capsys):
     code, _, err = run_cli(capsys, "root", "--periodic2", "2,3")
     assert code == 2 and "periodic" in err

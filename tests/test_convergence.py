@@ -14,6 +14,7 @@ from fiblike.convergence import (
     report_to_csv,
     report_to_dict,
 )
+from fiblike import sequences
 from fiblike.sequences import RecurrenceSpec, horadam_spec, knacci_spec, periodic_spec
 
 G23 = periodic_spec(("0.2", "0.3"), (2, 3))  # the running fractional example
@@ -141,6 +142,14 @@ def test_ratio_limit_argument_validation():
         ratio_limit(knacci_spec(2), subsequence="prime")
     with pytest.raises(ValueError):
         ratio_limit(knacci_spec(5), n_max=3)  # nothing to sample past the zeros
+
+
+def test_one_shot_prefixes_stay_out_of_the_prefix_cache():
+    cached = len(sequences._CACHE._prefixes)
+    ratio_limit(RecurrenceSpec(k=3, coeffs=(5, 3, 1), inits=(7, 1, 9)), n_max=250)
+    ratio_limit(periodic_spec(("7/3", "2/9"), (5, 8)), subsequence="odd", n_max=150)
+    asymptotic_fit(RecurrenceSpec(k=2, coeffs=(3, 1), inits=(4, 7)), n_max=120)
+    assert len(sequences._CACHE._prefixes) == cached
 
 
 def test_asymptotic_fit_fibonacci():
