@@ -57,7 +57,7 @@ print(f"  t(2.5) of the fractional one   = {evaluate_floor_indexed(frac, 2.5)}")
 print()
 
 print("=" * 72)
-print("Fast evaluation: companion-matrix powers, still exact")
+print("Fast evaluation: x^n mod the characteristic polynomial, still exact")
 print("=" * 72)
 spec = knacci_spec(5)
 n = 500

@@ -3,7 +3,7 @@
 Four layers, usable independently:
 
 * :mod:`fiblike.sequences` -- sequence specifications and exact evaluation
-  (defining recurrence and a companion-matrix fast path);
+  (integer recurrence and a Fiduccia x^n-mod-charpoly fast path);
 * :mod:`fiblike.identities` -- decomposition identities with brute-force
   witnesses;
 * :mod:`fiblike.charpoly` -- characteristic polynomials, certified dominant

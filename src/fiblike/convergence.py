@@ -40,7 +40,7 @@ from .charpoly import (
     dominant_root,
 )
 from .rationals import RationalLike, as_rational, as_rationals
-from .sequences import PeriodicSpec, RecurrenceSpec, SequenceSpec, _extend, periodic_spec
+from .sequences import PeriodicSpec, RecurrenceSpec, SequenceSpec, periodic_spec, terms
 
 __all__ = [
     "RatioReport",
@@ -127,7 +127,7 @@ def ratio_limit(
         raise ValueError(f"unknown subsequence {subsequence!r}; expected one of {SUBSEQUENCES}")
     if n_max is None:
         n_max = DEFAULT_NMAX_CONSTANT if isinstance(spec, RecurrenceSpec) else DEFAULT_NMAX_PERIODIC
-    seq = _extend(spec, list(spec.inits[: n_max + 1]), n_max + 1)
+    seq = terms(spec, max(n_max + 1, 0))  # n_max < 0 leaves no samples: reported below
     start = 0
     for i, value in enumerate(seq):
         if value == 0:
@@ -266,7 +266,7 @@ def asymptotic_fit(
         spread = spectrum.dominant / max(spectrum.moduli_bound, mpf(10) ** (-6))
         extra = int(float(n_max * mp.log10(spread))) + 30
     dps = min(precision + extra, 4000)
-    seq = _extend(spec, list(spec.inits[: n_max + 1]), n_max + 1)
+    seq = terms(spec, n_max + 1)
     alpha = dominant_root(poly, dps)
     with mp.workdps(dps):
         c = _to_mpf(seq[n_max]) / alpha**n_max

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .rationals import RationalLike, as_rational, as_rationals, format_rational
 from .sequences import (
+    _CACHE,
     RecurrenceSpec,
     evaluate,
     horadam_spec,
@@ -32,7 +33,6 @@ from .sequences import (
     periodic_basis,
     periodic_spec,
 )
-from .sequences import terms as seq_terms
 
 __all__ = [
     "WitnessTerm",
@@ -138,15 +138,16 @@ def decompose_knacci_like(spec: RecurrenceSpec, n: int) -> DecompositionWitness:
     k = spec.k
     if n < k:
         raise ValueError(f"decomposition needs n >= k = {k}, got {n}")
-    basis = seq_terms(knacci_spec(k), n + 1)
+    *older, top = _CACHE.window(knacci_spec(k), n - k + 1, n + 1)  # F(n-k+1), ..., F(n)
     inits = spec.inits
     lhs = evaluate(spec, n)
-    terms = [WitnessTerm(f"F({n - 1})", inits[0], basis[n - 1])]
+    block, label = older[-1], f"F({n - 1})"
+    terms = [WitnessTerm(label, inits[0], block)]
     for m in range(k - 2):
-        block = sum(basis[n - 1 - j] for j in range(m + 2))
-        label = "+".join(f"F({n - 1 - j})" for j in range(m + 2))
+        block += older[-2 - m]
+        label += f"+F({n - 2 - m})"
         terms.append(WitnessTerm(label, inits[m + 1], block))
-    terms.append(WitnessTerm(f"F({n})", inits[k - 1], basis[n]))
+    terms.append(WitnessTerm(f"F({n})", inits[k - 1], top))
     return _witness("knacci-like", n, lhs, terms)
 
 
@@ -177,18 +178,18 @@ def decompose_horadam_like(
     if n < k:
         raise ValueError(f"decomposition needs n >= k = {k}, got {n}")
     q = uspec.coeffs  # q[i-1] is q_i
-    basis = seq_terms(uspec, n + 1)
+    *older, top = _CACHE.window(uspec, n - k + 1, n + 1)  # U(n-k+1), ..., U(n)
     lhs = evaluate(RecurrenceSpec(k=k, coeffs=q, inits=vin), n)
-    terms = [WitnessTerm(f"q{k}*U({n - 1})", vin[0], q[k - 1] * basis[n - 1])]
+    terms = [WitnessTerm(f"q{k}*U({n - 1})", vin[0], q[k - 1] * older[-1])]
     for m in range(k - 2):
         block = Fraction(0)
         labels = []
         for j in range(m + 2):
             qi = k - (m + 1) + j  # 1-based coefficient index
-            block += q[qi - 1] * basis[n - 1 - j]
+            block += q[qi - 1] * older[-1 - j]
             labels.append(f"q{qi}*U({n - 1 - j})")
         terms.append(WitnessTerm("+".join(labels), vin[m + 1], block))
-    terms.append(WitnessTerm(f"U({n})", vin[k - 1], basis[n]))
+    terms.append(WitnessTerm(f"U({n})", vin[k - 1], top))
     return _witness("horadam-like", n, lhs, terms)
 
 
@@ -336,14 +337,12 @@ def decompose_periodic_k(
     lhs = evaluate(periodic_spec(lead, g), n)
     bases = [periodic_basis(_rotate(lead, j)) for j in range(k)]
     terms = [WitnessTerm(f"B1({n - 1})", g[0], evaluate(bases[1], n - 1))]
+    block, label = evaluate(bases[offset], n - 1), f"B{offset}({n - 1})"
     for m in range(k - 2):
-        block = Fraction(0)
-        labels = []
-        for j in range(m + 2):
-            shift = (j + offset) % k
-            block += evaluate(bases[shift], n - 1 - j)
-            labels.append(f"B{shift}({n - 1 - j})")
-        terms.append(WitnessTerm("+".join(labels), g[m + 1], block))
+        shift = (m + 1 + offset) % k
+        block += evaluate(bases[shift], n - 2 - m)
+        label += f"+B{shift}({n - 2 - m})"
+        terms.append(WitnessTerm(label, g[m + 1], block))
     terms.append(WitnessTerm(f"B0({n})", g[k - 1], evaluate(bases[0], n)))
     return _witness(f"periodic-k[{variant}]", n, lhs, terms)
 

@@ -12,16 +12,18 @@ Two families are covered:
 Indexing is 0-based throughout: the k-step Fibonacci basis starts with k-1
 zeros and a single 1 at index k-1.  Negative indices are not supported.
 
-All arithmetic is exact (:class:`fractions.Fraction`); nothing here ever
-rounds.  Terms are computed by the defining recurrence, with a fast
-companion-matrix power path (:func:`evaluate_fast`) that is bit-for-bit
-equal to the naive path.
+All arithmetic is exact; nothing here ever rounds.  Each spec is scaled
+once to an integer recurrence (:func:`_scaled`) that one stepping loop runs
+for both spec kinds and that :func:`evaluate_fast` solves by Fiduccia's
+x^n mod charpoly; a :class:`fractions.Fraction` is formed only for a
+returned value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -80,9 +82,6 @@ class RecurrenceSpec:
     def __hash__(self) -> int:
         return self._hash
 
-    def _next_term(self, prefix: list[Fraction]) -> Fraction:
-        return sum(c * prefix[-i] for i, c in enumerate(self.coeffs, start=1))
-
 
 @dataclass(frozen=True)
 class PeriodicSpec:
@@ -119,11 +118,6 @@ class PeriodicSpec:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def _next_term(self, prefix: list[Fraction]) -> Fraction:
-        n = len(prefix)
-        tail = sum(prefix[-j] for j in range(2, self.k + 1))
-        return self.leading[n % self.p] * prefix[-1] + tail
 
 
 SequenceSpec = Union[RecurrenceSpec, PeriodicSpec]
@@ -168,48 +162,59 @@ def periodic_basis(leading: Iterable[RationalLike]) -> PeriodicSpec:
     return PeriodicSpec(p=k, leading=lead, k=k, inits=inits)
 
 
-def _extend(spec: SequenceSpec, prefix: list[Fraction], count: int) -> list[Fraction]:
-    """Append terms to ``prefix`` in place until it holds ``count``; return it.
+def _scaled(spec: SequenceSpec) -> tuple[tuple[tuple[int, ...], ...], list[int], int, int]:
+    """Integer form ``(rows, s0, E, D)``: s(n) = E*D^n*t(n) is an integer.
 
-    Callers that need a prefix only once pass a fresh list, so nothing
-    enters the shared cache.
+    D and E are the lcms of the coefficient and initial-term denominators,
+    s0 is s(0..k-1) and s(n) = sum_i rows[n mod p][i-1]*s(n-i) with
+    rows[r][i-1] = c_i*D^i: one row (p = 1) for a constant spec, and rows
+    with c = (leading[r], 1, ..., 1) for a periodic one.
     """
-    while len(prefix) < count:
-        prefix.append(spec._next_term(prefix))
-    return prefix
+    if isinstance(spec, RecurrenceSpec):
+        coeff_rows = (spec.coeffs,)
+    else:
+        coeff_rows = tuple((lead,) + (1,) * (spec.k - 1) for lead in spec.leading)
+    D = math.lcm(*(c.denominator for row in coeff_rows for c in row))
+    E = math.lcm(*(v.denominator for v in spec.inits))
+    rows = tuple(
+        tuple(c.numerator * (D // c.denominator) * D ** (i - 1) for i, c in enumerate(row, start=1))
+        for row in coeff_rows
+    )
+    s0 = [v.numerator * (E // v.denominator) * D**j for j, v in enumerate(spec.inits)]
+    return rows, s0, E, D
+
+
+def _step(rows: tuple[tuple[int, ...], ...], s: list[int], count: int) -> list[int]:
+    """Append scaled terms to ``s`` in place until it holds ``count``; return it."""
+    p, k = len(rows), len(rows[0])
+    while len(s) < count:
+        s.append(sum(map(operator.mul, rows[len(s) % p], reversed(s[-k:]))))
+    return s
 
 
 class _PrefixCache:
-    """Per-spec term-prefix memo.
+    """Per-spec memo of the scaled integer prefix s(0), s(1), ... (see :func:`_scaled`).
 
     Identity verification sweeps the same handful of specs over long index
-    ranges; memoizing prefixes keeps those sweeps linear overall.  Cached
-    values are immutable Fractions, so the lock only guards the structures.
+    ranges; memoizing prefixes keeps those sweeps linear overall.  The lock
+    guards the LRU of at most ``max_specs`` specs and the growing lists.
     """
 
     def __init__(self, max_specs: int = 128):
         self._max_specs = max_specs
         self._lock = threading.Lock()
-        self._prefixes: OrderedDict[SequenceSpec, list[Fraction]] = OrderedDict()
+        self._prefixes: OrderedDict[SequenceSpec, tuple] = OrderedDict()
 
-    def _prefix(self, spec: SequenceSpec, count: int) -> list[Fraction]:
-        prefix = self._prefixes.get(spec)
-        if prefix is None:
-            prefix = list(spec.inits)
-            self._prefixes[spec] = prefix
-            while len(self._prefixes) > self._max_specs:
+    def window(self, spec: SequenceSpec, lo: int, hi: int) -> list[Fraction]:
+        """Terms at indices lo..hi-1."""
+        with self._lock:
+            entry = self._prefixes.pop(spec, None) or _scaled(spec)
+            self._prefixes[spec] = entry  # most recently used last
+            if len(self._prefixes) > self._max_specs:
                 self._prefixes.popitem(last=False)
-        else:
-            self._prefixes.move_to_end(spec)
-        return _extend(spec, prefix, count)
-
-    def term(self, spec: SequenceSpec, n: int) -> Fraction:
-        with self._lock:
-            return self._prefix(spec, n + 1)[n]
-
-    def terms(self, spec: SequenceSpec, count: int) -> list[Fraction]:
-        with self._lock:
-            return self._prefix(spec, count)[:count]
+            rows, s, E, D = entry
+            values = _step(rows, s, hi)[lo:hi]
+        return [Fraction(v, E * D**n) for n, v in enumerate(values, start=lo)]
 
 
 _CACHE = _PrefixCache()
@@ -223,14 +228,15 @@ def _check_index(n: int) -> None:
 def evaluate(spec: SequenceSpec, n: int) -> Fraction:
     """Exact term at index n, computed by the defining recurrence."""
     _check_index(n)
-    return _CACHE.term(spec, n)
+    return _CACHE.window(spec, n, n + 1)[0]
 
 
 def terms(spec: SequenceSpec, count: int) -> list[Fraction]:
-    """The first ``count`` terms (indices 0..count-1)."""
+    """The first ``count`` terms (indices 0..count-1), one-shot: no prefix cache is touched."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _CACHE.terms(spec, count)
+    rows, s0, E, D = _scaled(spec)
+    return [Fraction(v, E * D**n) for n, v in enumerate(_step(rows, s0[:count], count))]
 
 
 def evaluate_periodic(spec: PeriodicSpec, n: int) -> Fraction:
@@ -253,43 +259,37 @@ def evaluate_floor_indexed(spec: PeriodicSpec, x) -> Fraction:
     return evaluate_periodic(spec, math.floor(x))
 
 
-def _mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def _mulmod(u: list[int], v: list[int], a: tuple[int, ...]) -> list[int]:
+    """u*v modulo x^k - a_1*x^(k-1) - ... - a_k; lists hold the coefficients of x^0..x^(k-1)."""
     k = len(a)
-    bt = list(zip(*b))
-    return [[sum(ra[i] * cb[i] for i in range(k)) for cb in bt] for ra in a]
-
-
-def _mat_pow(m: list[list[Fraction]], e: int) -> list[list[Fraction]]:
-    k = len(m)
-    result = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    base = m
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return result
+    prod = [0] * (2 * k - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            prod[i + j] += ui * vj
+    for d in range(2 * k - 2, k - 1, -1):  # x^d = sum_i a_i*x^(d-i)
+        for i, ai in enumerate(a, start=1):
+            prod[d - i] += prod[d] * ai
+    return prod[:k]
 
 
 def evaluate_fast(spec: RecurrenceSpec, n: int) -> Fraction:
-    """Exact term at index n via companion-matrix exponentiation.
+    """Exact term at index n by Fiduccia's method, in O(k^2 log n) integer products.
 
-    O(k^3 log n) ring multiplications instead of O(n k); agrees exactly with
-    :func:`evaluate` for every input.
+    For the scaled recurrence s(n) = sum_i a_i*s(n-i) (see :func:`_scaled`),
+    x^n = sum_j r_j*x^j modulo its characteristic polynomial gives
+    s(n) = sum_j r_j*s(j).  Agrees exactly with :func:`evaluate`.
     """
     if not isinstance(spec, RecurrenceSpec):
         raise TypeError("evaluate_fast expects a constant-coefficient RecurrenceSpec")
     _check_index(n)
-    k = spec.k
-    if n < k:
-        return spec.inits[n]
-    companion = [list(spec.coeffs)]
-    for i in range(k - 1):
-        companion.append([Fraction(int(j == i)) for j in range(k)])
-    power = _mat_pow(companion, n - k + 1)
-    state = spec.inits[::-1]  # (t(k-1), ..., t(0))
-    return sum(power[0][j] * state[j] for j in range(k))
+    (a,), s0, E, D = _scaled(spec)
+    x = [0, 1] + [0] * (spec.k - 2)
+    r = [1] + [0] * (spec.k - 1)
+    for bit in bin(n)[2:]:
+        r = _mulmod(r, r, a)
+        if bit == "1":
+            r = _mulmod(r, x, a)
+    return Fraction(sum(map(operator.mul, r, s0)), E * D**n)
 
 
 def spec_to_dict(spec: SequenceSpec) -> dict:

@@ -177,7 +177,7 @@ def test_criterion_08_ratio_convergence_to_dominant_root():
 
 def test_criterion_09_fast_path_equivalence():
     rng = random.Random(1209)
-    with criterion(9, "companion-power path equals naive recurrence on 500 random cases", 20.0):
+    with criterion(9, "x^n-mod-charpoly path equals naive recurrence on 500 random cases", 20.0):
         for _ in range(500):
             k = rng.randint(2, 7)
             if rng.random() < 0.3:

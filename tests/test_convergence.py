@@ -145,11 +145,12 @@ def test_ratio_limit_argument_validation():
 
 
 def test_one_shot_prefixes_stay_out_of_the_prefix_cache():
-    cached = len(sequences._CACHE._prefixes)
+    cached = list(sequences._CACHE._prefixes)  # keys in LRU order: a full cache evicts, not grows
     ratio_limit(RecurrenceSpec(k=3, coeffs=(5, 3, 1), inits=(7, 1, 9)), n_max=250)
     ratio_limit(periodic_spec(("7/3", "2/9"), (5, 8)), subsequence="odd", n_max=150)
     asymptotic_fit(RecurrenceSpec(k=2, coeffs=(3, 1), inits=(4, 7)), n_max=120)
-    assert len(sequences._CACHE._prefixes) == cached
+    sequences.terms(RecurrenceSpec(k=4, coeffs=(2, 0, -1, "1/3"), inits=(1, 0, "2/5", 3)), 200)
+    assert list(sequences._CACHE._prefixes) == cached
 
 
 def test_asymptotic_fit_fibonacci():

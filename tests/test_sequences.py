@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,15 +137,37 @@ def test_evaluate_fast_rejects_periodic():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=120),
     st.randoms(use_true_random=False),
 )
 def test_evaluate_fast_equals_naive_property(k, n, rng):
-    coeffs = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(k))
-    inits = tuple(Fraction(rng.randint(0, 4)) for _ in range(k - 1)) + (Fraction(1),)
+    # negative, zero and rational coefficients; rational inits (E > 1 with D > 1)
+    coeffs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k))
+    inits = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k - 1)) + (Fraction(1, 3),)
     spec = RecurrenceSpec(k=k, coeffs=coeffs, inits=inits)
-    assert evaluate_fast(spec, n) == evaluate(spec, n)
+    assert evaluate_fast(spec, n) == evaluate(spec, n) == run_constant(coeffs, inits, n + 1)[n]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_kernel_edge_indices_match_oracle(k):
+    # D = lcm(2, 3, 5) and E = lcm(3, 4, 7) both exceed 1; the coefficients
+    # include a negative and (for k >= 3) a zero one
+    coeffs = ([Fraction(5, 2), Fraction(-4, 3), Fraction(0)] + [Fraction(7, 5)] * k)[:k]
+    leading = [Fraction(3, 2), Fraction(-1, 3), Fraction(0), Fraction(6, 5)][: k % 3 + 2]
+    inits = ([Fraction(1, 3), Fraction(-2, 7), Fraction(0)] + [Fraction(5, 4)] * k)[:k]
+    indices = {k - 1, k, k + 1} | {2**m - d for m in range(1, 9) for d in (0, 1)}
+    count = max(indices) + 1
+    for spec, oracle in [
+        (RecurrenceSpec(k=k, coeffs=tuple(coeffs), inits=tuple(inits)), run_constant(coeffs, inits, count)),
+        (periodic_spec(leading, inits), run_periodic(leading, inits, count)),
+    ]:
+        for n in sorted(indices):
+            assert evaluate(spec, n) == oracle[n]
+            if isinstance(spec, RecurrenceSpec):
+                assert evaluate_fast(spec, n) == oracle[n]
+        for c in range(k + 1):
+            assert terms(spec, c) == oracle[:c]
 
 
 def test_periodic_examples():
@@ -221,7 +244,10 @@ def test_concurrent_evaluation_is_consistent():
     # same specs from several threads must agree with a cold reference run
     import concurrent.futures
 
-    specs = [knacci_spec(k) for k in range(2, 6)] + [periodic_spec((2, 3), (0, 1))]
+    specs = [knacci_spec(k) for k in range(2, 6)] + [
+        periodic_spec((2, 3), (0, 1)),
+        periodic_spec(("3/2", "-2/5", "7/3"), ("1/2", "-3/4", 2)),
+    ]
     expected = {spec: run_periodic(spec.leading, spec.inits, 201)
                 if isinstance(spec, PeriodicSpec)
                 else run_constant(spec.coeffs, spec.inits, 201)
@@ -236,8 +262,13 @@ def test_concurrent_evaluation_is_consistent():
                 return False
         return True
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        assert all(pool.map(worker, range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's read-modify-write too
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(worker, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_spec_serialization_round_trip():
